@@ -170,7 +170,7 @@ def faults_facts(result, mean_qoe: float,
 def run_once(spec: RunSpec, costs):
     """One funnel pass with an injected dispatch-path cost table."""
     start = time.perf_counter()
-    report = execute(spec, dispatch_costs=costs)
+    report = execute(spec, costs=costs)
     elapsed = time.perf_counter() - start
     assert isinstance(report, MultiSessionReport)
     requests = sum(len(s.requests) for s in report.result.sessions)
@@ -220,7 +220,7 @@ def profile_cell(spec: RunSpec, repeat: int, limit: int = 30) -> None:
     profiler = cProfile.Profile()
     profiler.enable()
     for costs in tables:
-        execute(spec, dispatch_costs=costs)
+        execute(spec, costs=costs)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stderr)
     stats.strip_dirs().sort_stats("cumulative").print_stats(limit)

@@ -6,7 +6,8 @@ package rebuilds the whole published stack:
 
 * :mod:`repro.api` — the declarative entry point: serializable
   :class:`RunSpec`/:class:`Sweep`/:class:`Experiment` descriptions run
-  through one :func:`execute` funnel.
+  through one ``compile_plan`` -> ``execute_plan`` funnel
+  (:func:`execute` is both steps).
 * :mod:`repro.registry` — unified name registries for scenarios,
   schedulers, accelerators and score presets (third-party registrable).
 * :mod:`repro.workload` — sensors, the 11 unit models, the 7 usage
@@ -19,7 +20,7 @@ package rebuilds the whole published stack:
 * :mod:`repro.runtime` — the discrete-event benchmark runtime with
   pluggable schedulers and multi-tenant session multiplexing.
 * :mod:`repro.core` — the XRBench scoring metrics, reports and the
-  :class:`Harness` compatibility facade.
+  config-driven :class:`Harness`.
 * :mod:`repro.eval` — drivers regenerating every evaluation table/figure.
 
 Quickstart::
@@ -39,8 +40,9 @@ Quickstart::
     sweep = Sweep(base=spec, grid={"accelerator": ("A", "J", "M")})
     reports = Experiment.from_sweep(sweep).run(workers=2)
 
-The pre-spec surface (``Harness().run_scenario(...)``) remains available
-as a thin facade over the same funnel.
+The pre-spec surface (``Harness().run_scenario(...)``) remains available:
+it builds a :class:`RunSpec` from its config and runs it through the
+same ``compile_plan`` -> ``execute_plan`` funnel.
 """
 
 from .api import Experiment, Report, RunSpec, Sweep, execute

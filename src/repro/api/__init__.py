@@ -6,8 +6,10 @@ JSON-round-trippable value so every front end — the Python API, the
 ``xrbench`` CLI, the eval figure drivers, the benchmarks, and future
 distributed workers — compiles through one funnel:
 
-    RunSpec  ── execute() ──>  ScenarioReport
+    RunSpec ── compile_plan() ──> DispatchPlan ── execute_plan() ──> Report
     Sweep ─ expand ─> [RunSpec] ── Experiment.run() ──> [Report]
+
+:func:`execute` is the two steps in one call.
 
 Quickstart::
 
@@ -31,8 +33,8 @@ Quickstart::
 Every name a spec mentions (scenario, scheduler, accelerator, score
 preset) resolves through :mod:`repro.registry`, so third-party
 registrations are addressable from JSON without code changes.
-:class:`repro.core.Harness` remains as a thin compatibility facade over
-the same helpers.
+:class:`repro.core.Harness` builds a spec from its config and arguments
+and runs it through the same two steps.
 """
 
 from .events import (
@@ -46,9 +48,6 @@ from .execute import (
     Report,
     execute,
     execute_plan,
-    run_full_suite,
-    run_session_group,
-    run_single_scenario,
 )
 from .plan import (
     DispatchPlan,
@@ -85,7 +84,4 @@ __all__ = [
     "estimate_plan",
     "execute",
     "execute_plan",
-    "run_full_suite",
-    "run_session_group",
-    "run_single_scenario",
 ]

@@ -1,18 +1,20 @@
-"""The single execution funnel: ``execute(spec) -> Report``.
+"""The single execution funnel: ``compile_plan`` -> ``execute_plan``.
 
-Every front end — :class:`repro.core.Harness` (now a facade), the CLI,
-the eval figure drivers, the benchmarks — runs specs through this module.
-The three run shapes share one implementation each:
+Every front end — :class:`repro.core.Harness`, the CLI, the eval figure
+drivers, the benchmarks — reaches a report the same way: a
+:class:`~repro.api.RunSpec` is compiled into a
+:class:`~repro.api.DispatchPlan`, and :func:`execute_plan` runs the
+plan's session rows as groups on one
+:class:`~repro.runtime.MultiScenarioSimulator` each:
 
-* :func:`run_single_scenario` — one scenario, one system
-  (:class:`~repro.core.ScenarioReport`).
-* :func:`run_session_group` — N concurrent tenant sessions multiplexed
-  onto one system (:class:`~repro.core.MultiSessionReport`).
-* :func:`run_full_suite` — the seven-scenario suite
-  (:class:`~repro.core.BenchmarkReport`).
+* ``single`` mode — one one-row group, returned as its
+  :class:`~repro.core.ScenarioReport`;
+* ``sessions`` mode — one group of every row
+  (:class:`~repro.core.MultiSessionReport`);
+* ``suite`` mode — one one-row group per suite scenario, dispatching
+  whole models (:class:`~repro.core.BenchmarkReport`).
 
-:func:`execute` resolves a :class:`~repro.api.RunSpec`'s names through
-:mod:`repro.registry`, routes on :attr:`RunSpec.mode` and streams
+:func:`execute` is compile-then-execute for one spec; both stream
 :class:`~repro.api.events.ProgressEvent` records to pluggable sinks.
 
 :class:`Experiment` executes spec lists — serially through one shared
@@ -30,7 +32,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.aggregate import score_sessions, score_simulation
+# score_simulation is unused here but stays bound: the benchmark tracer
+# (xrperf/tracing.py) wraps both scoring names on this module.
+from repro.core.aggregate import score_sessions, score_simulation  # noqa: F401
 from repro.core.config import ScoreConfig, get_score_preset
 from repro.core.report import (
     BenchmarkReport,
@@ -42,15 +46,9 @@ from repro.hardware import AcceleratorSystem, build_accelerator
 from repro.runtime import (
     MultiScenarioSimulator,
     SessionSpec,
-    Simulator,
     make_scheduler,
 )
-from repro.workload import (
-    UsageScenario,
-    benchmark_suite,
-    churn_windows,
-    get_scenario,
-)
+from repro.workload import UsageScenario, get_scenario
 
 from .events import EventSink, ProgressEvent, emit
 from .plan import (
@@ -66,192 +64,10 @@ __all__ = [
     "execute",
     "execute_plan",
     "Experiment",
-    "run_single_scenario",
-    "run_session_group",
-    "run_full_suite",
 ]
 
 #: What :func:`execute` returns, depending on :attr:`RunSpec.mode`.
 Report = ScenarioReport | MultiSessionReport | BenchmarkReport
-
-
-def _resolve(scenario: UsageScenario | str) -> UsageScenario:
-    return get_scenario(scenario) if isinstance(scenario, str) else scenario
-
-
-def run_single_scenario(
-    scenario: UsageScenario | str,
-    system: AcceleratorSystem,
-    *,
-    scheduler: str = "latency_greedy",
-    duration_s: float = 1.0,
-    seed: int = 0,
-    score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
-    costs: CostTable | None = None,
-    measured_quality: dict[str, float] | None = None,
-) -> ScenarioReport:
-    """Simulate and score one scenario on one system."""
-    simulator = Simulator(
-        scenario=_resolve(scenario),
-        system=system,
-        scheduler=make_scheduler(scheduler),
-        duration_s=duration_s,
-        seed=seed,
-        costs=costs if costs is not None else CostTable(),
-        frame_loss_probability=frame_loss,
-    )
-    result = simulator.run()
-    scored = score_simulation(
-        result, score if score is not None else ScoreConfig(),
-        measured_quality,
-    )
-    return ScenarioReport(simulation=result, score=scored)
-
-
-def run_session_group(
-    scenarios: Sequence[UsageScenario | str],
-    system: AcceleratorSystem,
-    *,
-    scheduler: str = "latency_greedy",
-    duration_s: float = 1.0,
-    base_seed: int = 0,
-    score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
-    costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
-    granularity: str = "model",
-    segments_per_model: int = 2,
-    churn: float = 0.0,
-    preemptive: bool = False,
-    dvfs_policy: str = "static",
-    admission: str = "none",
-    faults: str = "none",
-    measured_quality: dict[str, float] | None = None,
-) -> MultiSessionReport:
-    """Multiplex concurrent scenario sessions onto one system.
-
-    Sessions get consecutive seeds from ``base_seed``.  ``churn > 0``
-    gives each session a deterministic lifetime window from
-    :func:`repro.workload.churn_windows` (seeded by ``base_seed``), so
-    tenants arrive late and depart early; ``preemptive=True`` asks a
-    capable scheduler (edf, rate_monotonic) to displace resuming segment
-    chains with more urgent waiting work at segment boundaries.
-    ``dvfs_policy`` selects the runtime DVFS governor consulted at every
-    dispatch boundary (``"static"``, ``"slack"``, ``"race_to_idle"``);
-    ``admission`` the QoE admission controller consulted at session
-    joins and periodic control ticks (``"none"``, ``"shed"``,
-    ``"degrade"``); ``faults`` the seeded fault-injection profile whose
-    engine-failure/thermal events the event loop rides out (``"none"``,
-    ``"single"``, ``"flaky"``, ``"thermal"`` — seeded by ``base_seed``).
-    Dispatch-path pricing flows through a :class:`CachedCostTable`
-    layered over ``costs`` unless ``dispatch_costs`` supplies the table
-    directly (the throughput benchmark uses that to compare cache
-    flavours).
-    """
-    if not scenarios:
-        raise ValueError("at least one session is required")
-    resolved = [_resolve(s) for s in scenarios]
-    windows = churn_windows(len(resolved), duration_s, churn, base_seed)
-    specs = [
-        SessionSpec(
-            session_id=i,
-            scenario=sc,
-            seed=base_seed + i,
-            frame_loss_probability=frame_loss,
-            arrival_s=window.arrival_s,
-            departure_s=window.departure_s,
-        )
-        for i, (sc, window) in enumerate(zip(resolved, windows))
-    ]
-    if dispatch_costs is None:
-        dispatch_costs = CachedCostTable(
-            base=costs if costs is not None else CostTable()
-        )
-    simulator = MultiScenarioSimulator(
-        sessions=specs,
-        system=system,
-        scheduler=make_scheduler(
-            scheduler, **({"preemptive": True} if preemptive else {})
-        ),
-        duration_s=duration_s,
-        costs=dispatch_costs,
-        granularity=granularity,
-        segments_per_model=segments_per_model,
-        dvfs_policy=dvfs_policy,
-        admission=admission,
-        faults=faults,
-        fault_seed=base_seed,
-    )
-    result = simulator.run()
-    score_cfg = score if score is not None else ScoreConfig()
-    scores = score_sessions(result, score_cfg, measured_quality)
-    reports = tuple(
-        ScenarioReport(simulation=session, score=scored)
-        for session, scored in zip(result.sessions, scores)
-    )
-    return MultiSessionReport(result=result, session_reports=reports)
-
-
-def run_full_suite(
-    system: AcceleratorSystem,
-    *,
-    scheduler: str = "latency_greedy",
-    duration_s: float = 1.0,
-    seed: int = 0,
-    score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
-    costs: CostTable | None = None,
-    sinks: Sequence[EventSink] = (),
-    label: str = "",
-    churn: float = 0.0,
-    dvfs_policy: str = "static",
-    admission: str = "none",
-    faults: str = "none",
-) -> BenchmarkReport:
-    """Run the full seven-scenario suite (Definition 5's Omega).
-
-    ``churn > 0`` runs each scenario as one dynamically-arriving tenant
-    session (same deterministic lifetime plan as multi-session runs), so
-    suite-level exports carry per-session active-duration accounting.
-    A non-static ``dvfs_policy`` — or a non-``"none"`` ``admission``
-    policy or ``faults`` profile — likewise routes each scenario through
-    the multi-tenant engine, where the DVFS governor, admission
-    controller and fault machinery live.
-    """
-    costs = costs if costs is not None else CostTable()
-    suite = benchmark_suite()
-    reports = []
-    for i, scenario in enumerate(suite):
-        if (
-            churn > 0
-            or dvfs_policy != "static"
-            or admission != "none"
-            or faults != "none"
-        ):
-            group = run_session_group(
-                [scenario], system,
-                scheduler=scheduler, duration_s=duration_s,
-                base_seed=seed, score=score, frame_loss=frame_loss,
-                costs=costs, churn=churn, dvfs_policy=dvfs_policy,
-                admission=admission, faults=faults,
-            )
-            report = group.session_reports[0]
-        else:
-            report = run_single_scenario(
-                scenario, system,
-                scheduler=scheduler, duration_s=duration_s, seed=seed,
-                score=score, frame_loss=frame_loss, costs=costs,
-            )
-        emit(sinks, ProgressEvent(
-            kind="scenario_finished",
-            label=label or scenario.name,
-            index=i,
-            total=len(suite),
-            payload={"scenario": scenario.name, "overall": report.overall},
-        ))
-        reports.append(report)
-    return BenchmarkReport(system=system, scenario_reports=reports)
 
 
 def execute(
@@ -259,7 +75,6 @@ def execute(
     *,
     system: AcceleratorSystem | None = None,
     costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
     sinks: Sequence[EventSink] = (),
@@ -280,71 +95,79 @@ def execute(
     """
     return execute_plan(
         compile_plan(spec, system=system),
-        system=system, costs=costs, dispatch_costs=dispatch_costs,
-        score=score, measured_quality=measured_quality,
+        system=system, costs=costs, score=score,
+        measured_quality=measured_quality,
         sinks=sinks, index=index, total=total,
     )
 
 
-def _planned_sessions(
-    rows: Sequence[PlanSession],
-) -> list[SessionSpec]:
-    """Plan rows as executor session specs (scenarios resolved by name)."""
-    return [
-        SessionSpec(
-            session_id=row.session_id,
-            scenario=get_scenario(row.scenario),
-            seed=row.seed,
-            frame_loss_probability=row.frame_loss,
-            arrival_s=row.arrival_s,
-            departure_s=row.departure_s,
-        )
-        for row in rows
-    ]
+def _dispatch_table(costs: CostTable | None) -> CostTable:
+    """The table the event loop prices through.
+
+    A table that can price segment pieces (it has ``register_graph``:
+    :class:`CachedCostTable`, :class:`~repro.costmodel.UncachedCostTable`)
+    is used as-is, so one shared table is never wrapped again per run;
+    any other table is wrapped once in a :class:`CachedCostTable`.
+    """
+    if costs is not None and hasattr(costs, "register_graph"):
+        return costs
+    return CachedCostTable(base=costs)
 
 
-def _planned_group(
+def _run_group(
     plan: DispatchPlan,
     rows: Sequence[PlanSession],
     system: AcceleratorSystem,
     *,
+    costs: CostTable,
     score: ScoreConfig,
-    costs: CostTable | None,
-    dispatch_costs: CostTable | None,
     measured_quality: dict[str, float] | None,
-    granularity: str,
-    segments_per_model: int,
-    preemptive: bool,
+    scenarios: Mapping[str, UsageScenario],
 ) -> MultiSessionReport:
-    """One multi-tenant group, built from plan rows instead of a spec.
+    """Run plan rows as one multi-tenant group and score every session.
 
-    The plan is consumed, not re-derived: session lifetime windows come
-    from its session table, the fault schedule from its compiled
+    The plan is consumed, not re-derived: lifetime windows come from its
+    rows, the fault schedule from its compiled
     :class:`~repro.runtime.faults.FaultPlan`, and the segment-chain
     codes from its chain table (the simulator verifies them against the
-    deterministic re-split).
+    deterministic re-split).  Segment granularity applies to sessions
+    mode only; single and suite rows dispatch whole models.
     """
-    if dispatch_costs is None:
-        dispatch_costs = CachedCostTable(
-            base=costs if costs is not None else CostTable()
-        )
+    segmented = plan.mode == "sessions" and plan.granularity == "segment"
     fault_plan = plan.fault_plan()
     simulator = MultiScenarioSimulator(
-        sessions=_planned_sessions(rows),
+        sessions=[
+            SessionSpec(
+                session_id=row.session_id,
+                scenario=(
+                    scenarios[row.scenario]
+                    if row.scenario in scenarios
+                    else get_scenario(row.scenario)
+                ),
+                seed=row.seed,
+                frame_loss_probability=row.frame_loss,
+                arrival_s=row.arrival_s,
+                departure_s=row.departure_s,
+            )
+            for row in rows
+        ],
         system=system,
         scheduler=make_scheduler(
-            plan.scheduler, **({"preemptive": True} if preemptive else {})
+            plan.scheduler, **({"preemptive": True} if plan.preemptive else {})
         ),
         duration_s=plan.duration_s,
-        costs=dispatch_costs,
-        granularity=granularity,
-        segments_per_model=segments_per_model,
+        costs=costs,
+        granularity="segment" if segmented else "model",
+        segments_per_model=plan.segments_per_model,
         dvfs_policy=plan.dvfs_policy,
         admission=plan.admission,
         faults=fault_plan if fault_plan is not None else "none",
         fault_seed=plan.seed,
+        # The chain table was compiled from the registered scenarios;
+        # inline ones may split differently, so the simulator derives
+        # their chains itself.
         segment_plan=(
-            plan.chain_codes() if granularity == "segment" else None
+            plan.chain_codes() if segmented and not scenarios else None
         ),
     )
     result = simulator.run()
@@ -356,62 +179,14 @@ def _planned_group(
     return MultiSessionReport(result=result, session_reports=reports)
 
 
-def _planned_suite(
-    plan: DispatchPlan,
-    system: AcceleratorSystem,
-    *,
-    score: ScoreConfig,
-    costs: CostTable | None,
-    sinks: Sequence[EventSink],
-) -> BenchmarkReport:
-    """The full suite from a plan's per-scenario session rows.
-
-    Mirrors :func:`run_full_suite` exactly: dynamic machinery (churn,
-    governors, admission, faults) routes each scenario through the
-    multi-tenant engine at whole-model granularity; the static case
-    keeps the single-tenant simulator.
-    """
-    costs = costs if costs is not None else CostTable()
-    reports = []
-    total = len(plan.sessions)
-    for i, row in enumerate(plan.sessions):
-        if plan.dynamic:
-            group = _planned_group(
-                plan, [row], system,
-                score=score, costs=costs, dispatch_costs=None,
-                measured_quality=None,
-                # run_full_suite never forwarded granularity: suite
-                # scenarios dispatch whole models.
-                granularity="model", segments_per_model=2,
-                preemptive=False,
-            )
-            report = group.session_reports[0]
-        else:
-            report = run_single_scenario(
-                row.scenario, system,
-                scheduler=plan.scheduler, duration_s=plan.duration_s,
-                seed=row.seed, score=score, frame_loss=row.frame_loss,
-                costs=costs,
-            )
-        emit(sinks, ProgressEvent(
-            kind="scenario_finished",
-            label=row.scenario,
-            index=i,
-            total=total,
-            payload={"scenario": row.scenario, "overall": report.overall},
-        ))
-        reports.append(report)
-    return BenchmarkReport(system=system, scenario_reports=reports)
-
-
 def execute_plan(
     plan: DispatchPlan,
     *,
     system: AcceleratorSystem | None = None,
     costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
+    scenarios: Mapping[str, UsageScenario] | None = None,
     sinks: Sequence[EventSink] = (),
     index: int = 0,
     total: int = 1,
@@ -423,36 +198,51 @@ def execute_plan(
     and policy bindings without re-deriving them from the spec.  A plan
     round-tripped through :meth:`DispatchPlan.to_json` /
     :meth:`DispatchPlan.from_json` replays to identical results.
+
+    ``scenarios`` maps a session row's scenario name to a live
+    :class:`~repro.workload.UsageScenario`, consulted before the
+    registry — for callers holding a mutated scenario a spec cannot
+    serialize (Figure 7's trigger-probability sweep).
     """
     if score is None:
         score = get_score_preset(plan.score_preset)
     if system is None:
         system = build_accelerator(plan.accelerator, plan.pes)
+    table = _dispatch_table(costs)
     label = plan.describe()
     emit(sinks, ProgressEvent(
         kind="spec_started", label=label, index=index, total=total,
     ))
+
+    def group(rows: Sequence[PlanSession]) -> MultiSessionReport:
+        return _run_group(
+            plan, rows, system,
+            costs=table, score=score, measured_quality=measured_quality,
+            scenarios=scenarios or {},
+        )
+
     if plan.mode == "suite":
-        report: Report = _planned_suite(
-            plan, system, score=score, costs=costs, sinks=sinks,
+        reports = []
+        for i, row in enumerate(plan.sessions):
+            (scenario_report,) = group([row]).session_reports
+            emit(sinks, ProgressEvent(
+                kind="scenario_finished",
+                label=row.scenario,
+                index=i,
+                total=len(plan.sessions),
+                payload={
+                    "scenario": row.scenario,
+                    "overall": scenario_report.overall,
+                },
+            ))
+            reports.append(scenario_report)
+        report: Report = BenchmarkReport(
+            system=system, scenario_reports=reports
         )
     elif plan.mode == "sessions":
-        report = _planned_group(
-            plan, plan.sessions, system,
-            score=score, costs=costs, dispatch_costs=dispatch_costs,
-            measured_quality=measured_quality,
-            granularity=plan.granularity,
-            segments_per_model=plan.segments_per_model,
-            preemptive=plan.preemptive,
-        )
+        report = group(plan.sessions)
     else:
-        (row,) = plan.sessions
-        report = run_single_scenario(
-            row.scenario, system,
-            scheduler=plan.scheduler, duration_s=plan.duration_s,
-            seed=row.seed, score=score, frame_loss=row.frame_loss,
-            costs=costs, measured_quality=measured_quality,
-        )
+        (report,) = group(plan.sessions).session_reports
     emit(sinks, ProgressEvent(
         kind="spec_finished", label=label, index=index, total=total,
         payload={"overall": _overall(report)},
@@ -582,9 +372,7 @@ class Experiment:
         retried_cells: list[str] = []
         plan_cache_hits: int | None = None
         if workers == 1 or total <= 1:
-            shared = CachedCostTable(
-                base=costs if costs is not None else CostTable()
-            )
+            shared = _dispatch_table(costs)
             # Plan cache keyed on the workload fingerprint (the spec
             # minus its seed): sweep cells sharing a workload reuse the
             # seed-independent compilation — notably the segment-chain

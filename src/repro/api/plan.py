@@ -21,9 +21,9 @@ the *fully resolved* run:
 Planning is pure: compiling never touches a cost table or an engine.
 The executor (:func:`repro.api.execute_plan`) consumes the plan —
 session windows, fault events and segment-chain codes are *read*, not
-re-derived — and the legacy :func:`repro.api.execute` path is exactly
-compile-then-execute, pinned bit-identical by the golden schedule
-checksums.
+re-derived — and every front end (:func:`repro.api.execute`,
+:class:`repro.core.Harness`, :class:`repro.api.Experiment`) is
+compile-then-execute.
 
 ``schema/dispatchplan.schema.json`` validates the serialized form;
 ``xrbench plan`` emits it and ``xrbench plan --diff`` renders
@@ -206,16 +206,6 @@ class DispatchPlan:
 
         return FaultPlan.from_dict(self.faults)
 
-    @property
-    def dynamic(self) -> bool:
-        """Whether execution needs the multi-tenant machinery per group."""
-        return (
-            self.churn > 0
-            or self.dvfs_policy != "static"
-            or self.admission != "none"
-            or self.faults is not None
-        )
-
     def describe(self) -> str:
         return self.spec.describe()
 
@@ -327,9 +317,8 @@ def _session_rows(
 ) -> tuple[PlanSession, ...]:
     """The resolved session table for a sessions-mode spec.
 
-    Mirrors the historical :func:`repro.api.run_session_group` wiring
-    exactly: consecutive seeds from ``spec.seed`` and the deterministic
-    churn windows seeded by it.
+    Consecutive seeds from ``spec.seed``, and the deterministic churn
+    windows seeded by it.
     """
     windows = churn_windows(
         len(names), spec.duration_s, spec.churn, spec.seed
@@ -355,10 +344,9 @@ def _suite_rows(spec: RunSpec) -> tuple[PlanSession, ...]:
     """One row per suite scenario, in suite order.
 
     Each scenario runs as its own (single-session) group, so the
-    ``session_id`` is the within-group id 0 — exactly what the
-    historical :func:`repro.api.run_full_suite` wiring produced.  Under
-    churn every scenario gets the same one-session window plan (it is
-    seeded by the spec seed, not the scenario).
+    ``session_id`` is the within-group id 0 and every row carries the
+    spec seed.  Under churn every scenario gets the same one-session
+    window plan (it is seeded by the spec seed, not the scenario).
     """
     rows = []
     for scenario in benchmark_suite():
@@ -466,8 +454,8 @@ def compile_plan(
         else:
             chains = _plan_chains(spec, tuple(r.scenario for r in rows))
     else:
-        # The suite path dispatches whole models (run_full_suite never
-        # forwarded granularity) and the single path has no chains.
+        # Suite scenarios dispatch whole models and the single path has
+        # no chains.
         chains = ()
 
     faults = None

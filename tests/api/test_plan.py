@@ -87,7 +87,6 @@ class TestCompile:
         assert plan.faults["profile"] == "flaky"
         assert plan.faults["events"]
         assert plan.fault_plan().profile == "flaky"
-        assert plan.dynamic
 
     def test_admission_ticks_resolved(self):
         plan = compile_plan(RunSpec(

@@ -269,12 +269,39 @@ class TestSharedCostTable:
             reports[1].simulation.scenario.name
         )
 
-    def test_execute_accepts_dispatch_costs_override(self, cost_table):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(scenario="vr_gaming", accelerator="J", duration_s=0.4),
+            RunSpec(scenario="vr_gaming", accelerator="J", duration_s=0.4,
+                    sessions=2),
+            RunSpec(suite=True, accelerator="J", duration_s=0.25),
+        ],
+        ids=["single", "sessions", "suite"],
+    )
+    def test_execute_prices_through_injected_table(self, spec):
         from repro.costmodel import UncachedCostTable
 
-        spec = RunSpec(scenario="vr_gaming", accelerator="J",
-                       duration_s=0.4, sessions=2)
         table = UncachedCostTable()
-        report = execute(spec, dispatch_costs=table)
-        assert report.result.cost_stats is None
+        report = execute(spec, costs=table)
         assert table.queries > 0
+        if spec.mode == "sessions":
+            # A table with a graph registry is used as-is, not cached.
+            assert report.result.cost_stats is None
+
+
+class TestMeasuredQuality:
+    def test_suite_forwards_measured_quality(self):
+        from repro.workload import UNIT_MODELS
+
+        zero = {code: 0.0 for code in UNIT_MODELS}
+        spec = RunSpec(suite=True, duration_s=0.25)
+        suite = execute(spec, measured_quality=zero)
+        for report in suite.scenario_reports:
+            single = execute(
+                RunSpec(scenario=report.simulation.scenario.name,
+                        duration_s=0.25),
+                measured_quality=zero,
+            )
+            assert repr(report.score) == repr(single.score)
+        assert suite.xrbench_score < execute(spec).xrbench_score

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.api import RunSpec, execute
 from repro.core import (
     benchmark_to_dict,
     scenario_to_dict,
@@ -140,15 +141,11 @@ class TestAdmissionExport:
     }
 
     @pytest.fixture(scope="class")
-    def degrade_group(self, hda_j_4k):
-        from repro.api import run_session_group
-
-        return run_session_group(
-            ["vr_gaming"] * 16,
-            hda_j_4k,
-            duration_s=0.25,
-            admission="degrade",
-        )
+    def degrade_group(self):
+        return execute(RunSpec(
+            scenario="vr_gaming", accelerator="J", pes=4096, sessions=16,
+            duration_s=0.25, admission="degrade",
+        ))
 
     def test_single_tenant_run_exports_neutral_block(self, scenario_report):
         # The Harness path never installs a controller, so the block is
