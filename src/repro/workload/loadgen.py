@@ -13,11 +13,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .requests import FramePlan, InferenceRequest
 from .scenarios import Dependency, UsageScenario
+from .sensors import InputSource
 
 __all__ = ["LoadGenerator"]
 
@@ -42,6 +44,13 @@ def _num_frames(plan: FramePlan, duration_s: float) -> int:
     return plan.num_frames(duration_s)
 
 
+def _frame_lost(code: str, frame: int, seed: int, probability: float) -> bool:
+    """Deterministically roll whether a model's sensor frame was lost."""
+    return probability > 0.0 and (
+        _unit_roll(f"loss:{code}:{frame}:{seed}") < probability
+    )
+
+
 @lru_cache(maxsize=1 << 10)
 def _root_schedule(
     scenario: UsageScenario,
@@ -52,30 +61,64 @@ def _root_schedule(
     """The scenario's sorted root-request schedule, as plain tuples.
 
     ``(request_time_s, model_code, model_frame, deadline_s)`` rows in
-    dispatch order.  The schedule is a pure function of the (frozen,
-    hashable) scenario and the generation parameters — every randomness
-    source is keyed derivation, not stateful RNG — so it is memoised:
-    sessions replicating one scenario at the same seed, benchmark
-    repeats and sweep points rebuild request *objects* (mutable, so they
-    must be fresh per run) from cached timing rows instead of re-walking
-    the jittered sensor streams.
+    dispatch order — row for row what :meth:`FramePlan.request_time_s`
+    and :meth:`FramePlan.deadline_s` give per frame, but built
+    stream-wise: each sensor's arrivals are drawn once, in one batch
+    (:meth:`InputSource.arrivals_s`), for exactly the frames some root
+    model consumes, and every model's rows index into them.  The
+    schedule is a pure function of the (frozen, hashable) scenario and
+    the generation parameters — every randomness source is keyed
+    derivation, not stateful RNG — so it is memoised: sessions
+    replicating one scenario at the same seed, benchmark repeats and
+    sweep points rebuild request *objects* (mutable, so they must be
+    fresh per run) from cached timing rows.
     """
-    rows: list[tuple[float, str, int, float]] = []
+    # Pass 1: each root model's kept frames, the sensor frame ids they
+    # read on each of the model's sensors, and their deadlines.
+    models = []
+    wanted: dict[InputSource, set[int]] = {}
     for sm in scenario.root_models():
         plan = FramePlan(sm)
-        code = sm.code
-        for frame in range(_num_frames(plan, duration_s)):
-            if frame_loss_probability > 0.0 and (
-                _unit_roll(f"loss:{code}:{frame}:{seed}")
-                < frame_loss_probability
-            ):
-                continue
-            rows.append((
-                plan.request_time_s(frame, seed),
-                code,
-                frame,
-                plan.deadline_s(frame),
-            ))
+        stride = plan.stride
+        primary = sm.model.primary_sensor
+        frames = [
+            frame
+            for frame in range(_num_frames(plan, duration_s))
+            if not _frame_lost(sm.code, frame, seed, frame_loss_probability)
+        ]
+        primary_frames = [int(frame * stride) for frame in frames]
+        reads = []
+        for sensor in sm.model.sensors:
+            # FramePlan.request_time_s's frame id on each sensor.
+            ids = [
+                int(round(frame * sensor.fps / primary.fps))
+                for frame in primary_frames
+            ]
+            wanted.setdefault(sensor, set()).update(ids)
+            reads.append((sensor, ids))
+        # FramePlan.deadline_s: the next consumed frame's nominal arrival
+        # (Definition 8).
+        deadlines = [
+            primary.nominal_arrival_s(int((frame + 1) * stride))
+            for frame in frames
+        ]
+        models.append((sm.code, frames, reads, deadlines))
+
+    # Pass 2: one batched draw per sensor stream.
+    arrivals: dict[InputSource, dict[int, float]] = {}
+    for sensor, ids in wanted.items():
+        ordered = sorted(ids)
+        arrivals[sensor] = dict(zip(ordered, sensor.arrivals_s(ordered, seed)))
+
+    # Pass 3: rows by indexing.  A multi-modal model (DR) waits for all
+    # its sensors, so its request time is the latest arrival.
+    rows: list[tuple[float, str, int, float]] = []
+    for code, frames, reads, deadlines in models:
+        times = zip(*[
+            list(map(arrivals[sensor].__getitem__, ids))
+            for sensor, ids in reads
+        ])
+        rows.extend(zip(map(max, times), repeat(code), frames, deadlines))
     # Same order as sorting the built requests by (time, code): rows are
     # appended in (model, frame) order and the sort is stable.
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -116,10 +159,9 @@ class LoadGenerator:
 
     def frame_lost(self, code: str, model_frame: int) -> bool:
         """Deterministically roll whether a sensor frame was lost."""
-        if self.frame_loss_probability <= 0.0:
-            return False
-        roll = _unit_roll(f"loss:{code}:{model_frame}:{self.seed}")
-        return roll < self.frame_loss_probability
+        return _frame_lost(
+            code, model_frame, self.seed, self.frame_loss_probability
+        )
 
     def plan_for(self, code: str) -> FramePlan:
         return self._plans[code]
