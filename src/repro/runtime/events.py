@@ -20,6 +20,17 @@ therefore priority — over same-instant arrivals and completions.  The
 event loop drains all events sharing the minimum timestamp as one batch
 (see :meth:`EventQueue.pop_fields` / :attr:`EventQueue.next_time_s`),
 processing them in exactly this (time, seq) order.
+
+Root arrivals are the bulk of every run (one per streamed sensor frame)
+and are all known when a session phase starts, so they are not pushed
+one by one.  :meth:`EventQueue.push_arrivals` takes a phase's
+time-sorted request list as one *arrival stream*: it reserves the
+consecutive sequence numbers per-request pushes would have used and
+keeps a single heap entry — the stream's head — that
+:meth:`EventQueue.pop_fields` advances in place.  The heap holds about
+one entry per session plus in-flight completions instead of every
+pending frame, while the popped ``(time, seq)`` order is exactly the
+per-request one.
 """
 
 from __future__ import annotations
@@ -28,10 +39,17 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import le, length_hint
+from typing import Any, Iterator, Sequence
 
 from repro.workload import InferenceRequest
 
 __all__ = ["EventKind", "Event", "EventQueue"]
+
+#: Heap-entry kind of an arrival stream's head (see
+#: :meth:`EventQueue.push_arrivals`).  Private to this module: popped
+#: stream entries leave the queue as plain ``EventKind.ARRIVAL`` tuples.
+_STREAM = object()
 
 
 class EventKind(enum.Enum):
@@ -77,6 +95,9 @@ class Event:
     session_id: int = field(default=0, compare=False)
 
 
+_ARRIVAL = EventKind.ARRIVAL
+
+
 @dataclass
 class EventQueue:
     """A deterministic min-heap of events.
@@ -91,13 +112,18 @@ class EventQueue:
     compare fields are exactly ``(time_s, seq)``).  :meth:`pop` still
     materialises an :class:`Event` for API compatibility; the event
     loop drains via :meth:`pop_fields`, which hands back the raw tuple.
+
+    An arrival stream (:meth:`push_arrivals`) occupies one heap entry,
+    ``(head time, head seq, _STREAM, head request, cursor, session_id)``,
+    where ``cursor`` iterates the stream's remaining requests.  Heap
+    entries are therefore not events one for one: :meth:`__len__`
+    counts pending events.
     """
 
-    _heap: list[
-        tuple[float, int, EventKind, InferenceRequest | None, int | None,
-              int]
-    ] = field(default_factory=list)
-    _seq: itertools.count = field(default_factory=itertools.count)
+    _heap: list[tuple[float, int, Any, InferenceRequest | None, Any, int]] = (
+        field(default_factory=list)
+    )
+    _seq: Iterator[int] = field(default_factory=itertools.count)
 
     def push(
         self,
@@ -107,17 +133,50 @@ class EventQueue:
         sub_index: int | None = None,
         session_id: int = 0,
     ) -> None:
-        if time_s < 0:
+        # One comparison that also rejects NaN (every NaN comparison is
+        # False), which would otherwise silently break the heap order.
+        if not time_s >= 0:
             raise ValueError(f"event time must be >= 0, got {time_s}")
         heapq.heappush(
             self._heap,
             (time_s, next(self._seq), kind, request, sub_index, session_id),
         )
 
+    def push_arrivals(
+        self, requests: Sequence[InferenceRequest], session_id: int
+    ) -> None:
+        """Schedule a time-sorted run of ARRIVAL events as one stream.
+
+        Equivalent to ``push(r.request_time_s, EventKind.ARRIVAL, r,
+        session_id=session_id)`` for each request in order: the stream
+        reserves exactly the ``len(requests)`` consecutive sequence
+        numbers those pushes would have taken, and pops yield the same
+        tuples in the same ``(time, seq)`` order.  The requests' times
+        must be non-negative and non-decreasing.  The stream iterates
+        ``requests`` in place and reads each head's time as it advances,
+        so neither the list nor the pending requests' times may change
+        while the stream is pending.
+        """
+        if not requests:
+            return
+        times = [request.request_time_s for request in requests]
+        if not times[0] >= 0:
+            raise ValueError(f"event time must be >= 0, got {times[0]}")
+        if not all(map(le, times, itertools.islice(times, 1, None))):
+            raise ValueError(
+                "arrival stream times must be non-decreasing (and not NaN)"
+            )
+        seq = next(self._seq)
+        self._seq = itertools.count(seq + len(requests))
+        cursor = iter(requests)
+        head = next(cursor)
+        heapq.heappush(
+            self._heap,
+            (times[0], seq, _STREAM, head, cursor, session_id),
+        )
+
     def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        return Event(*heapq.heappop(self._heap))
+        return Event(*self.pop_fields())
 
     def pop_fields(
         self,
@@ -127,14 +186,31 @@ class EventQueue:
 
         Returns ``(time_s, seq, kind, request, sub_index, session_id)``
         — same ordering contract as :meth:`pop`, minus the
-        :class:`Event` allocation.
+        :class:`Event` allocation.  A stream head pops as an ordinary
+        ARRIVAL tuple; its successor (if any) takes its heap slot.
         """
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
+        entry = heap[0]
+        if entry[2] is not _STREAM:
+            return heapq.heappop(heap)
+        time_s, seq, _, request, cursor, session_id = entry
+        head = next(cursor, None)
+        if head is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (
+                head.request_time_s, seq + 1, _STREAM, head, cursor,
+                session_id,
+            ))
+        return (time_s, seq, _ARRIVAL, request, None, session_id)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(
+            1 + length_hint(entry[4]) if entry[2] is _STREAM else 1
+            for entry in self._heap
+        )
 
     def __bool__(self) -> bool:
         return bool(self._heap)

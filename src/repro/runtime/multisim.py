@@ -808,7 +808,8 @@ class MultiScenarioSimulator:
 
             The phase's load generator works in phase-local time;
             request and deadline times are shifted to absolute run time
-            here, once, as the requests are scheduled.
+            as the requests are built, and the phase's roots enter the
+            event queue as one arrival stream.
             """
             start, stop, scenario = state.windows[phase]
             loadgen = LoadGenerator(
@@ -825,17 +826,11 @@ class MultiScenarioSimulator:
                 state.spawned.setdefault(sm.code, 0)
             for code, count in loadgen.expected_frames().items():
                 state.spawned[code] += count
-            sid = state.spec.session_id
-            for request in loadgen.root_requests():
-                request.request_time_s += start
-                request.deadline_s += start
-                state.phase_of[request.request_id] = phase
-                events.push(
-                    request.request_time_s,
-                    EventKind.ARRIVAL,
-                    request,
-                    session_id=sid,
-                )
+            requests = loadgen.root_requests(offset_s=start)
+            phase_of = state.phase_of
+            for request in requests:
+                phase_of[request.request_id] = phase
+            events.push_arrivals(requests, state.spec.session_id)
 
         def retire_waiting(session_id: int,
                            include_resumable: bool) -> None:
@@ -911,12 +906,7 @@ class MultiScenarioSimulator:
                 chain = chains[code] = SegmentChain(code, (None,))
             codes = chain.codes
             return WorkItem(
-                request=request,
-                session_id=session_id,
-                segment_index=0,
-                num_segments=len(codes),
-                task_code=codes[0],
-                chain=chain,
+                request, session_id, 0, len(codes), codes[0], chain
             )
 
         def start(item: WorkItem, engine: ExecutionEngine,
@@ -1119,9 +1109,9 @@ class MultiScenarioSimulator:
                 start(item, engine, now_s)
 
         # The drain loop below batches all events sharing the minimum
-        # timestamp: one unconditional dispatch pass closes each batch,
-        # and *between* batch members a dispatch runs only when it
-        # provably is not a no-op — an engine is idle AND work could
+        # timestamp: one dispatch pass closes each batch when an engine
+        # is idle, and *between* batch members a dispatch runs only when
+        # it provably is not a no-op — an engine is idle AND work could
         # start.  When no engine is idle both dispatch passes fall
         # through their ``idle`` guards without consulting the policy;
         # when nothing waits and nothing resumes, pass 1 is empty and
@@ -1371,7 +1361,8 @@ class MultiScenarioSimulator:
                     dispatch(now_s)
                 (now_s, _, kind, request, sub_index,
                  session_id) = pop_fields()
-            dispatch(now_s)
+            if idle:
+                dispatch(now_s)
 
         if fplan is not None:
             # Single source of truth for recovered/lost: every request a

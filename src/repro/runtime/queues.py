@@ -104,11 +104,14 @@ class WaitingQueue:
     cost at fleet scale (the key is computed once per offer).  The key
     fields are stable for a waiting item — request times are only ever
     shifted *before* the item is offered — so the parallel lists cannot
-    drift.
+    drift.  A third parallel list, ``_requests``, holds each item's
+    request, so the plain-request view legacy policies receive
+    (:meth:`requests`) is a slice copy rather than a rebuild.
     """
 
     _items: list[WorkItem] = field(default_factory=list)
     _keys: list[tuple[float, int, str]] = field(default_factory=list)
+    _requests: list[InferenceRequest] = field(default_factory=list)
     _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)
     dropped: list[InferenceRequest] = field(default_factory=list)
 
@@ -119,20 +122,32 @@ class WaitingQueue:
         :meth:`PendingQueue.offer`.
         """
         request = item.request
-        key = (item.session_id, request.model_code)
+        session_id = item.session_id
+        code = request.model_code
+        key = (session_id, code)
+        items = self._items
+        keys = self._keys
         stale = self._by_key.get(key)
         if stale is not None:
-            index = self._locate(stale)
-            del self._items[index]
-            del self._keys[index]
-            stale.request.dropped = True
-            self.dropped.append(stale.request)
+            # One waiting item per (session, model) makes the stale
+            # item's sort key unique, so one bisection finds it.
+            stale_request = stale.request
+            index = bisect_left(
+                keys, (stale_request.request_time_s, session_id, code)
+            )
+            if index == len(items) or items[index] is not stale:
+                index = self._locate(stale)
+            del items[index]
+            del keys[index]
+            del self._requests[index]
+            stale_request.dropped = True
+            self.dropped.append(stale_request)
         self._by_key[key] = item
-        order = (request.request_time_s, item.session_id,
-                 request.model_code)
-        index = bisect_right(self._keys, order)
-        self._items.insert(index, item)
-        self._keys.insert(index, order)
+        order = (request.request_time_s, session_id, code)
+        index = bisect_right(keys, order)
+        items.insert(index, item)
+        keys.insert(index, order)
+        self._requests.insert(index, request)
         return stale
 
     def take(self, item: WorkItem) -> None:
@@ -147,6 +162,7 @@ class WaitingQueue:
         index = self._locate(item)
         del self._items[index]
         del self._keys[index]
+        del self._requests[index]
         del self._by_key[key]
 
     def peek(self, session_id: int, model_code: str) -> WorkItem | None:
@@ -179,6 +195,7 @@ class WaitingQueue:
         ]
         self._keys = [key for key, _ in kept]
         self._items = [item for _, item in kept]
+        self._requests = [item.request for item in self._items]
         for item in retired:
             del self._by_key[(session_id, item.request.model_code)]
             item.request.dropped = True
@@ -193,6 +210,10 @@ class WaitingQueue:
                 return index
             index += 1
         raise ValueError(f"work item {item!r} is not in the queue")
+
+    def requests(self) -> list[InferenceRequest]:
+        """The waiting requests in dispatch order, as a fresh list."""
+        return self._requests[:]
 
     # -- read-only sequence view (what schedulers see) -----------------------
 

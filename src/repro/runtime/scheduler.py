@@ -50,6 +50,7 @@ from repro.registry import schedulers as SCHEDULER_REGISTRY
 from repro.workload import InferenceRequest
 
 from .engine import ExecutionEngine, WorkItem
+from .queues import WaitingQueue
 
 __all__ = [
     "Scheduler",
@@ -105,14 +106,23 @@ class SegmentScheduler(Protocol):
         ...
 
 
+def _requests_of(waiting: Sequence[WorkItem]) -> list[InferenceRequest]:
+    """A fresh list of the waiting items' requests, in view order."""
+    if isinstance(waiting, WaitingQueue):
+        return waiting.requests()
+    return [item.request for item in waiting]
+
+
 @dataclass
 class SchedulerAdapter:
     """Presents segment-granular, session-tagged work to a legacy policy.
 
     The wrapped scheduler sees plain request/engine-index lists exactly as
     before (materialised fresh per call from the maintained views, so the
-    legacy policy can never corrupt the event loop's state); the adapter
-    maps its choice back onto the work item and the engine object.
+    legacy policy can never corrupt the event loop's state — from a
+    :class:`~repro.runtime.queues.WaitingQueue` the request list is a
+    slice copy of its parallel request list); the adapter maps its
+    choice back onto the work item and the engine object.
     Engine-fit heuristics keep pricing by the *whole* model code — an
     acceptable approximation for a segment, whose relative engine
     affinity matches its parent model's.
@@ -132,7 +142,7 @@ class SchedulerAdapter:
             return None
         choice = self.inner.pick(
             now_s,
-            [item.request for item in waiting],
+            _requests_of(waiting),
             [engine.index for engine in idle_engines],
             system,
             costs,
@@ -180,7 +190,7 @@ class SchedulerAdapter:
         return hook(
             now_s,
             resuming.request,
-            [item.request for item in waiting],
+            _requests_of(waiting),
             system,
             costs,
         )

@@ -166,19 +166,18 @@ class LoadGenerator:
     def plan_for(self, code: str) -> FramePlan:
         return self._plans[code]
 
-    def root_requests(self) -> list[InferenceRequest]:
+    def root_requests(self, offset_s: float = 0.0) -> list[InferenceRequest]:
         """All requests for sensor-driven models, sorted by request time.
 
         Timing comes from the memoised schedule (:func:`_root_schedule`);
         the request objects themselves are always fresh — the runtime
-        mutates them.
+        mutates them.  ``offset_s`` shifts request and deadline times
+        from generator-local to absolute run time (a session phase that
+        starts at ``offset_s``).
         """
         return [
             InferenceRequest(
-                model_code=code,
-                model_frame=frame,
-                request_time_s=request_time_s,
-                deadline_s=deadline_s,
+                code, frame, request_time_s + offset_s, deadline_s + offset_s
             )
             for request_time_s, code, frame, deadline_s in _root_schedule(
                 self.scenario,

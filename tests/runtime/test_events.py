@@ -42,6 +42,14 @@ class TestEventQueue:
         with pytest.raises(ValueError, match="event time"):
             EventQueue().push(-0.1, EventKind.ARRIVAL, req())
 
+    def test_nan_time_rejected(self):
+        # NaN compares False against everything, so a NaN entry would
+        # silently corrupt the heap order instead of failing.
+        q = EventQueue()
+        with pytest.raises(ValueError, match="event time"):
+            q.push(float("nan"), EventKind.ARRIVAL, req())
+        assert not q
+
     def test_next_time(self):
         q = EventQueue()
         assert q.next_time_s is None
