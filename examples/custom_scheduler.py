@@ -18,7 +18,7 @@ from repro import Harness, build_accelerator
 from repro.core import score_simulation
 from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
-from repro.runtime import Simulator, make_scheduler
+from repro.runtime import MultiScenarioSimulator, make_scheduler
 from repro.workload import InferenceRequest, get_scenario
 
 
@@ -68,14 +68,15 @@ class AffinityScheduler:
 
 
 def run_with(scheduler, label: str, costs: CostTable) -> None:
-    sim = Simulator(
-        scenario=get_scenario("ar_gaming"),
-        system=build_accelerator("J", 8192),
-        scheduler=scheduler,
+    sim = MultiScenarioSimulator.replicate(
+        get_scenario("ar_gaming"),
+        build_accelerator("J", 8192),
+        scheduler,
+        1,
         duration_s=1.0,
         costs=costs,
     )
-    result = sim.run()
+    result = sim.run().sessions[0]
     score = score_simulation(result)
     print(
         f"{label:<16s} overall={score.overall:.3f} rt={score.rt:.3f} "

@@ -19,8 +19,8 @@ from repro.core import score_simulation
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
+    MultiScenarioSimulator,
     SegmentedCostTable,
-    Simulator,
     segment_scenario,
 )
 from repro.workload import get_scenario
@@ -32,13 +32,14 @@ def run(segments: int, total_pes: int = 4096):
         scenario, table = base, SegmentedCostTable()
     else:
         scenario, table = segment_scenario(base, "PD", segments)
-    sim = Simulator(
-        scenario=scenario,
-        system=build_accelerator("J", total_pes),
-        scheduler=LatencyGreedyScheduler(),
+    sim = MultiScenarioSimulator.replicate(
+        scenario,
+        build_accelerator("J", total_pes),
+        LatencyGreedyScheduler(),
+        1,
         duration_s=1.0,
         costs=table,
-    ).run()
+    ).run().sessions[0]
     return sim, score_simulation(sim)
 
 

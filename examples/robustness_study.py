@@ -18,7 +18,8 @@ Run:  python examples/robustness_study.py
 from __future__ import annotations
 
 from repro import Harness, HarnessConfig, build_accelerator
-from repro.eval import dvfs_ablation, run_seed_sweep
+from repro.api import RunSpec
+from repro.eval import dvfs_ablation, seed_sweep
 
 
 def frame_loss_sweep() -> None:
@@ -38,11 +39,10 @@ def frame_loss_sweep() -> None:
 
 def seed_statistics() -> None:
     print("2) Seed variance of the dynamic scenarios (A @ 4K PEs)")
-    harness = Harness()
-    system = build_accelerator("A", 4096)
     for scenario in ("outdoor_activity_a", "ar_assistant",
                      "social_interaction_b"):
-        sweep = run_seed_sweep(harness, scenario, system, seeds=15)
+        spec = RunSpec(scenario=scenario, accelerator="A", pes=4096)
+        sweep = seed_sweep(spec, seeds=15)
         overall = sweep.get("overall")
         lo, hi = overall.confidence_interval()
         print(

@@ -18,7 +18,7 @@ from .rundb import (
     RunRecord,
     summarize_report,
 )
-from .stats import ScoreStatistics, SeedSweep, run_seed_sweep, seed_sweep
+from .stats import ScoreStatistics, SeedSweep, seed_sweep
 
 from .figure3 import Figure3Row, format_figure3, run_figure3
 from .figure5 import Figure5Row, best_accelerator, format_figure5, run_figure5
@@ -46,7 +46,6 @@ __all__ = [
     "scheduler_ablation",
     "ScoreStatistics",
     "SeedSweep",
-    "run_seed_sweep",
     "seed_sweep",
     "Observation",
     "format_observations",

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 from repro.api import RunSpec, execute
-from repro.core import Harness
-from repro.costmodel import CostTable
+from repro.costmodel import CachedCostTable, CostTable
 from repro.hardware import AcceleratorSystem
 
-__all__ = ["ScoreStatistics", "SeedSweep", "run_seed_sweep", "seed_sweep"]
+__all__ = ["ScoreStatistics", "SeedSweep", "seed_sweep"]
 
 #: Two-sided z values for the confidence levels we expose.
 _Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -111,7 +110,8 @@ def seed_sweep(
     The declarative funnel path: the spec's own ``seed`` field is
     replaced by 0..seeds-1, everything else re-executes unchanged.  A
     pre-built ``system``/shared ``costs`` table may be supplied when the
-    caller sweeps many systems.
+    caller sweeps many systems; without one, every seed prices through
+    one shared :class:`~repro.costmodel.CachedCostTable`.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -120,7 +120,7 @@ def seed_sweep(
             f"seed sweeps need a single-scenario spec, got mode "
             f"{spec.mode!r}"
         )
-    costs = costs if costs is not None else CostTable()
+    costs = costs if costs is not None else CachedCostTable()
     samples: dict[str, list[float]] = {
         "overall": [], "rt": [], "energy": [], "qoe": [], "drop_rate": [],
     }
@@ -143,33 +143,4 @@ def seed_sweep(
             name: _summarise(name, values)
             for name, values in samples.items()
         },
-    )
-
-
-def run_seed_sweep(
-    harness: Harness,
-    scenario: str,
-    system: AcceleratorSystem,
-    seeds: int = 20,
-) -> SeedSweep:
-    """Facade-compatible wrapper: sweep seeds for a harness + system."""
-    from repro import registry
-
-    config = harness.config
-    # The pre-built system overrides the spec's accelerator fields in
-    # execute(); the name is a carrier only, so an unregistered custom
-    # system falls back to a registered placeholder instead of failing
-    # spec validation.
-    acc_id = system.acc_id if system.acc_id in registry.accelerators else "J"
-    spec = RunSpec(
-        scenario=scenario,
-        accelerator=acc_id,
-        pes=system.total_pes,
-        scheduler=config.scheduler,
-        duration_s=config.duration_s,
-        frame_loss=config.frame_loss_probability,
-    )
-    return seed_sweep(
-        spec, seeds, system=system, costs=harness.costs,
-        score=config.score,
     )

@@ -2,12 +2,10 @@
 
 Appendix B.1 makes latency slack a first-class energy knob ("adjust
 energy to meet the deadlines or optimize using the slack to the deadline
-(e.g., DVFS)").  Historically the runtime only supported *static* DVFS —
-a per-engine operating point fixed before the run
-(``MultiScenarioSimulator.engine_dvfs``) — and the slack optimisation
-(:func:`repro.costmodel.best_point_for_slack`) lived in an offline
-ablation.  A :class:`DvfsGovernor` brings that trade into the live event
-loop: it is consulted at every dispatch boundary (whole models *and*
+(e.g., DVFS)").  Without a governor every dispatch runs at the nominal
+operating point, and the slack optimisation
+(:func:`repro.costmodel.best_point_for_slack`) is an offline ablation.
+A :class:`DvfsGovernor` brings that trade into the live event loop: it is consulted at every dispatch boundary (whole models *and*
 individual segments, so a governed run re-decides at each preemption
 point) and picks the operating point the engine runs that piece of work
 at.

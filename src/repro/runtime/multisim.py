@@ -1,12 +1,13 @@
 """Multi-tenant execution engine: N scenario sessions on one system.
 
-This is the production-shaped core of the runtime.  Where the seed
-:class:`~repro.runtime.simulator.Simulator` drove exactly one scenario
-against one accelerator, :class:`MultiScenarioSimulator` multiplexes any
-number of independent *sessions* — each a scenario instance bound to its
-own seed (a distinct user), with its own load generator, pending queue,
-dependency tracker and QoE accounting — onto one shared
-:class:`~repro.hardware.AcceleratorSystem` through a single event queue.
+This is the one event loop of the runtime: :class:`MultiScenarioSimulator`
+multiplexes any number of independent *sessions* — each a scenario
+instance bound to its own seed (a distinct user), with its own load
+generator, dependency tracker and QoE accounting — onto one shared
+:class:`~repro.hardware.AcceleratorSystem` through a single event queue
+and one shared :class:`~repro.runtime.queues.WaitingQueue`.  A
+single-scenario run is simply a one-session run
+(``MultiScenarioSimulator.replicate(scenario, system, scheduler, 1)``).
 
 Key properties:
 
@@ -87,7 +88,6 @@ from repro.costmodel import (
     CachedCostTable,
     CostCacheStats,
     CostTable,
-    DvfsPoint,
 )
 from repro.hardware import AcceleratorSystem
 from repro.workload import (
@@ -111,7 +111,7 @@ from .events import EventKind, EventQueue
 from .faults import FaultAction, FaultPlan, FaultRecord, make_fault_plan
 from .governor import DispatchContext, DvfsGovernor, make_governor
 from .queues import DependencyTracker, WaitingQueue
-from .scheduler import Scheduler, SegmentScheduler, as_segment_scheduler
+from .scheduler import Scheduler, SchedulerAdapter
 from .segmentation import SegmentChain, dispatch_segment_code, split_graph
 from .simulator import SimulationResult
 
@@ -365,11 +365,12 @@ class MultiScenarioSimulator:
             mid-run :class:`SessionPhase` changes; the defaults are the
             static all-alive case.
         system: the shared accelerator system.
-        scheduler: a legacy :class:`Scheduler` (adapted automatically) or
-            a session-aware :class:`SegmentScheduler`.  If the policy
-            keeps cross-run state it should expose ``reset()``, which is
-            invoked at the start of every run so a shared instance gives
-            order-independent results.
+        scheduler: the dispatch policy, a :class:`Scheduler` (it must
+            have a callable ``pick``; the run presents its work through
+            a :class:`~repro.runtime.scheduler.SchedulerAdapter`).  If
+            the policy keeps cross-run state it should expose
+            ``reset()``, which is invoked at the start of every run so a
+            shared instance gives order-independent results.
         duration_s: streamed seconds per session (must be positive).
         costs: the cost table; for segment granularity a table without a
             graph registry is wrapped in a :class:`CachedCostTable` so
@@ -380,9 +381,8 @@ class MultiScenarioSimulator:
         segments_per_model: target segments per model under segment
             granularity; models without enough residual-safe cut points
             run whole.
-        engine_dvfs: optional per-engine *base* DVFS operating points.
         dvfs_policy: runtime DVFS governor policy — ``"static"`` (every
-            dispatch at the engine's base point, the historical
+            dispatch at the nominal operating point, the historical
             behaviour, pinned by the golden schedule checksums),
             ``"slack"`` (greedy slack-into-energy via
             :func:`repro.costmodel.best_point_for_slack`) or
@@ -418,12 +418,11 @@ class MultiScenarioSimulator:
 
     sessions: list[SessionSpec]
     system: AcceleratorSystem
-    scheduler: Scheduler | SegmentScheduler
+    scheduler: Scheduler
     duration_s: float = 1.0
     costs: CostTable = field(default_factory=CachedCostTable)
     granularity: str = "model"
     segments_per_model: int = 2
-    engine_dvfs: dict[int, DvfsPoint] = field(default_factory=dict)
     dvfs_policy: str | DvfsGovernor = "static"
     admission: str | AdmissionController = "none"
     faults: str | FaultPlan | None = "none"
@@ -459,12 +458,13 @@ class MultiScenarioSimulator:
                 f"segments_per_model must be >= 1, "
                 f"got {self.segments_per_model}"
             )
-        for index in self.engine_dvfs:
-            if not 0 <= index < self.system.num_subs:
-                raise ValueError(
-                    f"engine_dvfs references engine {index}, but the "
-                    f"system has {self.system.num_subs}"
-                )
+        if not callable(getattr(self.scheduler, "pick", None)):
+            raise TypeError(
+                f"scheduler {type(self.scheduler).__name__} has no "
+                f"callable pick(now_s, waiting, idle_engines, system, "
+                f"costs); a dispatch policy must implement the "
+                f"Scheduler protocol"
+            )
         # Resolve the governor eagerly so a bad policy name fails at
         # construction time; "static" resolves to no governor at all —
         # the exact historical dispatch path.
@@ -508,7 +508,7 @@ class MultiScenarioSimulator:
         cls,
         scenario: UsageScenario,
         system: AcceleratorSystem,
-        scheduler: Scheduler | SegmentScheduler,
+        scheduler: Scheduler,
         num_sessions: int,
         base_seed: int = 0,
         frame_loss_probability: float = 0.0,
@@ -643,8 +643,8 @@ class MultiScenarioSimulator:
         reset = getattr(self.scheduler, "reset", None)
         if callable(reset):
             reset()
-        scheduler = as_segment_scheduler(self.scheduler)
-        preemptive = bool(getattr(scheduler, "preemptive", False))
+        scheduler = SchedulerAdapter(self.scheduler)
+        preemptive = scheduler.preemptive
         costs = self.costs
         if self.granularity == "segment" and not hasattr(
             costs, "register_graph"
@@ -656,7 +656,6 @@ class MultiScenarioSimulator:
         fleet = EngineFleet([
             ExecutionEngine(
                 sub=sub,
-                dvfs=self.engine_dvfs.get(sub.index),
                 # Busy-time charges clip to the streamed horizon, so the
                 # drain tail of in-flight work cannot push
                 # window-normalised utilization past 100%.
@@ -667,22 +666,13 @@ class MultiScenarioSimulator:
         idle = fleet.idle  # live, index-ordered; maintained by the fleet
         engines = fleet.engines
         # Candidate sweeps price through the table's dense per-fleet view
-        # when it has one (CachedCostTable); the vectorised sweep prices
-        # one (task, point) row, so it needs every engine at the same
-        # base point — mixed engine_dvfs configurations keep the
-        # per-engine lookup path.
+        # when it has one (CachedCostTable): one nominal-point latency
+        # row for the whole fleet.  A fault plan with thermal events
+        # moves per-engine ceilings mid-run, so such runs price per
+        # engine instead (see ``thermal`` below).
         dense = getattr(costs, "dense_view", None)
         view = dense(self.system) if dense is not None else None
-        base_points = {engine.dvfs for engine in fleet}
-        # A fault plan with thermal events moves per-engine ceilings
-        # mid-run, so the uniform-base dense sweep (one row for the
-        # whole fleet) cannot be trusted — fall back to per-engine
-        # pricing for the run.
         fplan = self._fault_plan
-        uniform_base = len(base_points) == 1 and (
-            fplan is None or not fplan.has_thermal
-        )
-        base_point = base_points.pop() if uniform_base else None
         events = EventQueue()
         states: dict[int, _SessionState] = {}
         for spec in sorted(self.sessions, key=lambda s: s.session_id):
@@ -832,12 +822,10 @@ class MultiScenarioSimulator:
                 phase_of[request.request_id] = phase
             events.push_arrivals(requests, state.spec.session_id)
 
-        def retire_waiting(session_id: int,
-                           include_resumable: bool) -> None:
-            """Purge a departed/phase-changed session's pending work."""
+        def retire_waiting(session_id: int) -> None:
+            """Purge a departed/phase-changed session's pending work:
+            its waiting items and its resumable segment chains."""
             waiting.purge_session(session_id)
-            if not include_resumable:
-                return
             kept = [
                 entry for entry in resumable
                 if entry[4].session_id != session_id
@@ -887,7 +875,7 @@ class MultiScenarioSimulator:
             state.windows[state.phase] = (start, now_s, current)
             state.windows.insert(state.phase + 1, (now_s, stop, degraded))
             cancelled[sid].add(state.phase)
-            retire_waiting(sid, include_resumable=True)
+            retire_waiting(sid)
             enter_phase(state, state.phase + 1)
 
         def fresh_item(request: InferenceRequest,
@@ -973,31 +961,23 @@ class MultiScenarioSimulator:
             )
 
         def best_engine_for(item: WorkItem) -> ExecutionEngine:
-            # Single idle engine: nothing to compare.  Uniform base
-            # point + dense view: one latency-row sweep, lowest index
-            # wins ties — the same choice as the ``min`` below, minus
-            # the per-candidate keyed lookups.
+            # Single idle engine: nothing to compare.  Dense view
+            # without thermal ceilings: one nominal-point latency-row
+            # sweep, lowest index wins ties — the same choice as the
+            # ``min`` below, minus the per-candidate keyed lookups.
+            # ``effective_dvfs`` is the engine's base point unless a
+            # thermal ceiling clamps it.
             if len(idle) == 1:
                 return idle[0]
-            if view is not None and uniform_base:
+            if view is not None and not thermal:
                 return engines[view.best_engine_index(
-                    item.code, [e.index for e in idle], base_point
+                    item.code, [e.index for e in idle], None
                 )]
-            if thermal:
-                return min(
-                    idle,
-                    key=lambda e: (
-                        self.system.engine_cost(
-                            costs, item.code, e.index, e.effective_dvfs
-                        ).latency_s,
-                        e.index,
-                    ),
-                )
             return min(
                 idle,
                 key=lambda e: (
                     self.system.engine_cost(
-                        costs, item.code, e.index, e.dvfs
+                        costs, item.code, e.index, e.effective_dvfs
                     ).latency_s,
                     e.index,
                 ),
@@ -1257,7 +1237,7 @@ class MultiScenarioSimulator:
                     enter_phase(state, 0)
                 elif kind is SESSION_PHASE:
                     if state.active:
-                        retire_waiting(session_id, include_resumable=True)
+                        retire_waiting(session_id)
                         enter_phase(state, state.phase + 1)
                         if controller is not None:
                             # A planned activity change starts at full
@@ -1290,9 +1270,7 @@ class MultiScenarioSimulator:
                             log.shed_reason = action.reason
                             victim = states[action.session_id]
                             victim.active = False
-                            retire_waiting(
-                                action.session_id, include_resumable=True
-                            )
+                            retire_waiting(action.session_id)
                         elif action.kind == "degrade":
                             log.degradation_level = action.level
                             apply_degrade(action)
@@ -1354,7 +1332,7 @@ class MultiScenarioSimulator:
                             ))
                 else:  # SESSION_LEAVE
                     state.active = False
-                    retire_waiting(session_id, include_resumable=True)
+                    retire_waiting(session_id)
                 if not heap or heap[0][0] != now_s:
                     break
                 if idle and (waiting or resumable):

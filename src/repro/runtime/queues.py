@@ -1,20 +1,17 @@
-"""Runtime data structures (Figure 2): request queues, the active
-inference table, and the dependency tracker.
+"""Runtime data structures (Figure 2): the waiting queue and the
+dependency tracker.
 
-The pending queue implements the frame-freshness drop policy: at most one
-*waiting* request per model.  When a new frame arrives while the previous
-one is still waiting to start, the stale frame is dropped — processing it
-could no longer contribute to the target rate (its successor has already
-arrived), and real XR runtimes prefer the fresh frame.  Requests that have
-*started* are never aborted.
-
-:class:`WaitingQueue` is the multi-tenant generalisation: one structure
-spanning every session, holding session-tagged
-:class:`~repro.runtime.engine.WorkItem` values in dispatch order and
-applying the same drop policy per (session, model).  It is maintained
-incrementally on offer/take, so the event loop hands schedulers a
-ready-sorted view instead of rebuilding and re-sorting a list on every
-scheduler call.
+:class:`WaitingQueue` implements the frame-freshness drop policy: at most
+one *waiting* request per (session, model).  When a new frame arrives
+while the previous one is still waiting to start, the stale frame is
+dropped — processing it could no longer contribute to the target rate
+(its successor has already arrived), and real XR runtimes prefer the
+fresh frame.  Requests that have *started* are never aborted.  The queue
+spans every session, holding session-tagged
+:class:`~repro.runtime.engine.WorkItem` values in dispatch order; it is
+maintained incrementally on offer/take, so the event loop hands
+schedulers a ready-sorted view instead of rebuilding and re-sorting a
+list on every scheduler call.
 """
 
 from __future__ import annotations
@@ -28,52 +25,9 @@ from repro.workload import Dependency, InferenceRequest, UsageScenario
 from .engine import WorkItem
 
 __all__ = [
-    "PendingQueue",
     "WaitingQueue",
-    "ActiveInferenceTable",
     "DependencyTracker",
 ]
-
-
-@dataclass
-class PendingQueue:
-    """At-most-one waiting request per model; stale frames are dropped.
-
-    Legacy single-tenant structure, kept as public API alongside
-    :class:`ActiveInferenceTable`; the multi-tenant event loop's live
-    waiting state is :class:`WaitingQueue` below.
-    """
-
-    _waiting: dict[str, InferenceRequest] = field(default_factory=dict)
-    dropped: list[InferenceRequest] = field(default_factory=list)
-
-    def offer(self, request: InferenceRequest) -> InferenceRequest | None:
-        """Add a request; returns the displaced stale request, if any."""
-        stale = self._waiting.get(request.model_code)
-        if stale is not None:
-            stale.dropped = True
-            self.dropped.append(stale)
-        self._waiting[request.model_code] = request
-        return stale
-
-    def take(self, request: InferenceRequest) -> None:
-        """Remove a request that is about to be dispatched."""
-        current = self._waiting.get(request.model_code)
-        if current is not request:
-            raise ValueError(
-                f"request {request!r} is not waiting (queue holds {current!r})"
-            )
-        del self._waiting[request.model_code]
-
-    def waiting(self) -> list[InferenceRequest]:
-        """All waiting requests, oldest data first."""
-        return sorted(
-            self._waiting.values(),
-            key=lambda r: (r.request_time_s, r.model_code),
-        )
-
-    def __len__(self) -> int:
-        return len(self._waiting)
 
 
 def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
@@ -89,9 +43,8 @@ def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
 class WaitingQueue:
     """All sessions' waiting work, maintained in dispatch order.
 
-    The multi-tenant counterpart of :class:`PendingQueue`: at most one
-    waiting :class:`WorkItem` per (session, model); offering a fresh
-    frame drops the stale one (frame-freshness policy).  Items are kept
+    At most one waiting :class:`WorkItem` per (session, model); offering
+    a fresh frame drops the stale one (frame-freshness policy).  Items are kept
     sorted by ``(request_time_s, session_id, model_code)`` — inserted and
     removed by bisection — so reading the queue is free for the event
     loop and for schedulers, which receive this object directly as their
@@ -105,7 +58,7 @@ class WaitingQueue:
     fields are stable for a waiting item — request times are only ever
     shifted *before* the item is offered — so the parallel lists cannot
     drift.  A third parallel list, ``_requests``, holds each item's
-    request, so the plain-request view legacy policies receive
+    request, so the plain-request view policies receive
     (:meth:`requests`) is a slice copy rather than a rebuild.
     """
 
@@ -118,8 +71,7 @@ class WaitingQueue:
     def offer(self, item: WorkItem) -> WorkItem | None:
         """Add a fresh work item; returns the displaced stale item, if any.
 
-        The stale item's request is marked dropped, exactly like
-        :meth:`PendingQueue.offer`.
+        The stale item's request is marked dropped.
         """
         request = item.request
         session_id = item.session_id
@@ -228,36 +180,6 @@ class WaitingQueue:
 
     def __iter__(self) -> Iterator[WorkItem]:
         return iter(self._items)
-
-
-@dataclass
-class ActiveInferenceTable:
-    """Which request is running on which engine."""
-
-    _active: dict[int, InferenceRequest] = field(default_factory=dict)
-
-    def start(self, sub_index: int, request: InferenceRequest) -> None:
-        if sub_index in self._active:
-            raise ValueError(
-                f"engine {sub_index} is already running "
-                f"{self._active[sub_index]!r} (hardware-occupancy condition)"
-            )
-        self._active[sub_index] = request
-
-    def finish(self, sub_index: int) -> InferenceRequest:
-        try:
-            return self._active.pop(sub_index)
-        except KeyError:
-            raise ValueError(f"engine {sub_index} is idle") from None
-
-    def idle_engines(self, num_subs: int) -> list[int]:
-        return [i for i in range(num_subs) if i not in self._active]
-
-    def running(self) -> dict[int, InferenceRequest]:
-        return dict(self._active)
-
-    def __len__(self) -> int:
-        return len(self._active)
 
 
 @dataclass

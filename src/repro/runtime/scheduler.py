@@ -9,34 +9,28 @@ to plug in.
 
 Schedulers are deliberately simple objects with a single method so user
 code can swap in anything (the yellow "user-customisable" boxes of
-Figure 2).
+Figure 2): :class:`Scheduler` picks a ``(request, engine index)`` pair
+from flat lists.  The event loop works on session-tagged, segment-granular
+:class:`~repro.runtime.engine.WorkItem` values and stateful
+:class:`~repro.runtime.engine.ExecutionEngine` objects;
+:class:`SchedulerAdapter` presents those to the policy as plain lists and
+maps its choice back, so every policy runs unchanged under session
+multiplexing and segment-level dispatch.
 
-Two interfaces coexist:
-
-* :class:`Scheduler` — the legacy whole-request protocol: pick a
-  ``(request, engine index)`` pair from flat lists.
-* :class:`SegmentScheduler` — the multi-tenant protocol: pick a
-  ``(work item, engine)`` pair, where work items carry session identity
-  and segment position and engines are stateful
-  :class:`~repro.runtime.engine.ExecutionEngine` objects.
-
-:class:`SchedulerAdapter` lifts any legacy scheduler into the new
-protocol, so the four registered policies keep working unchanged under
-session multiplexing and segment-level dispatch.
-
-Two optional protocol extensions (both forwarded by the adapter):
+Two optional protocol extensions:
 
 * ``reset()`` — clear any cross-run state (a round-robin rotor, lazily
   inferred periods).  The event loop calls it at the start of every run,
   so back-to-back runs through one shared policy object are
   order-independent.
 * ``preemptive`` / ``should_preempt(...)`` — deadline-aware segment
-  preemption.  Under segment granularity, a completed segment's
-  successors normally resume ahead of all fresh work; a scheduler with
-  ``preemptive = True`` is consulted at each such segment boundary and
-  may displace the waiting stale segment chain when fresher work is more
-  urgent.  Preemption points stay at segment boundaries only — a running
-  segment is never aborted, preserving the paper's semantics.
+  preemption (forwarded by the adapter).  Under segment granularity, a
+  completed segment's successors normally resume ahead of all fresh
+  work; a scheduler with ``preemptive = True`` is consulted at each such
+  segment boundary and may displace the waiting stale segment chain when
+  fresher work is more urgent.  Preemption points stay at segment
+  boundaries only — a running segment is never aborted, preserving the
+  paper's semantics.
 """
 
 from __future__ import annotations
@@ -54,9 +48,7 @@ from .queues import WaitingQueue
 
 __all__ = [
     "Scheduler",
-    "SegmentScheduler",
     "SchedulerAdapter",
-    "as_segment_scheduler",
     "LatencyGreedyScheduler",
     "RoundRobinScheduler",
     "EarliestDeadlineScheduler",
@@ -82,30 +74,6 @@ class Scheduler(Protocol):
         ...
 
 
-class SegmentScheduler(Protocol):
-    """Session- and segment-aware dispatch interface.
-
-    ``waiting`` is the event loop's *maintained* waiting view (a
-    :class:`~repro.runtime.queues.WaitingQueue`): a read-only sequence of
-    work items already sorted oldest-data-first with (session, model)
-    tie-breaks, updated incrementally as frames arrive and dispatch —
-    never rebuilt per call.  ``idle_engines`` is likewise the maintained
-    index-ordered idle list.  Both are live views owned by the event
-    loop: read them, never mutate or retain them across calls.
-    """
-
-    def select(
-        self,
-        now_s: float,
-        waiting: Sequence[WorkItem],
-        idle_engines: Sequence[ExecutionEngine],
-        system: AcceleratorSystem,
-        costs: CostTable,
-    ) -> tuple[WorkItem, ExecutionEngine] | None:
-        """Choose the next dispatch, or ``None`` to leave engines idle."""
-        ...
-
-
 def _requests_of(waiting: Sequence[WorkItem]) -> list[InferenceRequest]:
     """A fresh list of the waiting items' requests, in view order."""
     if isinstance(waiting, WaitingQueue):
@@ -115,11 +83,11 @@ def _requests_of(waiting: Sequence[WorkItem]) -> list[InferenceRequest]:
 
 @dataclass
 class SchedulerAdapter:
-    """Presents segment-granular, session-tagged work to a legacy policy.
+    """Presents segment-granular, session-tagged work to a policy.
 
-    The wrapped scheduler sees plain request/engine-index lists exactly as
-    before (materialised fresh per call from the maintained views, so the
-    legacy policy can never corrupt the event loop's state — from a
+    The wrapped scheduler sees plain request/engine-index lists
+    (materialised fresh per call from the maintained views, so the
+    policy can never corrupt the event loop's state — from a
     :class:`~repro.runtime.queues.WaitingQueue` the request list is a
     slice copy of its parallel request list); the adapter maps its
     choice back onto the work item and the engine object.
@@ -182,7 +150,7 @@ class SchedulerAdapter:
     ) -> bool:
         """Forward the segment-boundary preemption query to the policy.
 
-        The legacy hook sees plain requests, mirroring ``pick``.
+        The hook sees plain requests, mirroring ``pick``.
         """
         hook = getattr(self.inner, "should_preempt", None)
         if hook is None:
@@ -194,21 +162,6 @@ class SchedulerAdapter:
             system,
             costs,
         )
-
-    def reset(self) -> None:
-        """Clear the wrapped policy's cross-run state, if it keeps any."""
-        reset = getattr(self.inner, "reset", None)
-        if callable(reset):
-            reset()
-
-
-def as_segment_scheduler(
-    scheduler: Scheduler | SegmentScheduler,
-) -> SegmentScheduler:
-    """Lift a legacy scheduler into the session/segment protocol."""
-    if hasattr(scheduler, "select"):
-        return scheduler  # already segment-aware
-    return SchedulerAdapter(scheduler)
 
 
 def _best_engine(

@@ -15,8 +15,8 @@ Usage::
     from repro.runtime.segmentation import segment_scenario, SegmentedCostTable
 
     scenario, table = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
-    sim = Simulator(scenario=scenario, system=system,
-                    scheduler=LatencyGreedyScheduler(), costs=table)
+    sim = MultiScenarioSimulator.replicate(
+        scenario, system, LatencyGreedyScheduler(), 1, costs=table)
 """
 
 from __future__ import annotations

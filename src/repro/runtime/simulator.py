@@ -1,44 +1,24 @@
-"""The single-tenant façade over the multi-tenant runtime engine.
+"""Per-session simulation results.
 
-Historically this module *was* the discrete-event simulator; the event
-loop now lives in :mod:`repro.runtime.multisim`, which multiplexes any
-number of scenario sessions onto one accelerator system through
-:class:`~repro.runtime.engine.ExecutionEngine` objects.  The
-:class:`Simulator` here runs the common one-scenario/one-system case as a
-single session, preserving the seed semantics exactly:
-
-1. The load generator schedules every sensor-driven inference request
-   (with jittered arrival times) as ARRIVAL events.
-2. On arrival, a request enters the pending queue; a stale waiting frame
-   of the same model is dropped (frame-freshness policy, see
-   :mod:`repro.runtime.queues`).
-3. Whenever an engine is idle and requests wait, the scheduler picks a
-   (request, engine) pair; the analytical cost model supplies the
-   inference latency and energy; a COMPLETION event is scheduled.
-4. On completion, downstream dependencies may spawn new requests (data
-   deps always, control deps with the scenario's trigger probability),
-   arriving at the upstream's completion time.
-
-The run ends when all events have drained — input streams stop at
-``duration_s`` but in-flight work is allowed to finish, matching how the
-paper counts deadline violations for late frames rather than truncating
-them.
+:class:`SimulationResult` is the raw outcome of one scenario session run
+by :class:`~repro.runtime.multisim.MultiScenarioSimulator`: every
+request with its timing and outcome, per-engine busy time, streamed
+frame counts and the engine occupancy log.  Scoring
+(:func:`repro.core.aggregate.score_simulation`) consumes it per session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
 from repro.workload import InferenceRequest, UsageScenario
 
 from .admission import AdmissionRecord
 from .engine import ExecutionRecord
 from .faults import FaultRecord
-from .scheduler import Scheduler
 
-__all__ = ["SimulationResult", "Simulator"]
+__all__ = ["SimulationResult"]
 
 
 @dataclass
@@ -138,45 +118,3 @@ class SimulationResult:
     def mean_utilization(self) -> float:
         subs = self.system.num_subs
         return sum(self.utilization(i) for i in range(subs)) / subs
-
-
-@dataclass
-class Simulator:
-    """Runs one scenario on one accelerator system."""
-
-    scenario: UsageScenario
-    system: AcceleratorSystem
-    scheduler: Scheduler
-    duration_s: float = 1.0
-    seed: int = 0
-    costs: CostTable = field(default_factory=CostTable)
-    #: Failure injection: sensor-frame loss probability (see LoadGenerator).
-    frame_loss_probability: float = 0.0
-    #: Dispatch granularity: "model" (whole models, the paper's runtime)
-    #: or "segment" (split models yield engines between segments).
-    granularity: str = "model"
-    #: Target segments per split model under segment granularity.
-    segments_per_model: int = 2
-
-    def run(self) -> SimulationResult:
-        # Imported here: multisim builds SimulationResult objects, so the
-        # module dependency points that way.
-        from .multisim import MultiScenarioSimulator, SessionSpec
-
-        multi = MultiScenarioSimulator(
-            sessions=[
-                SessionSpec(
-                    session_id=0,
-                    scenario=self.scenario,
-                    seed=self.seed,
-                    frame_loss_probability=self.frame_loss_probability,
-                )
-            ],
-            system=self.system,
-            scheduler=self.scheduler,
-            duration_s=self.duration_s,
-            costs=self.costs,
-            granularity=self.granularity,
-            segments_per_model=self.segments_per_model,
-        )
-        return multi.run().sessions[0]

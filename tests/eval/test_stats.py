@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval import run_seed_sweep
+from repro.api import RunSpec
+from repro.costmodel import CachedCostTable
+from repro.eval import seed_sweep
 from repro.eval.stats import _summarise
 from repro.hardware import build_accelerator
 
@@ -42,12 +44,17 @@ class TestSummarise:
         assert "overall" in text and "95% CI" in text
 
 
-class TestRunSeedSweep:
+def short_spec(scenario: str, pes: int = 4096) -> RunSpec:
+    return RunSpec(
+        scenario=scenario, accelerator="A", pes=pes, duration_s=0.5,
+    )
+
+
+class TestSeedSweep:
     @pytest.fixture(scope="class")
-    def sweep(self, short_harness):
-        return run_seed_sweep(
-            short_harness, "outdoor_activity_a",
-            build_accelerator("A", 4096), seeds=8,
+    def sweep(self, cost_table):
+        return seed_sweep(
+            short_spec("outdoor_activity_a"), seeds=8, costs=cost_table,
         )
 
     def test_components_present(self, sweep):
@@ -69,35 +76,53 @@ class TestRunSeedSweep:
         assert "outdoor_activity_a" in text
         assert "overall" in text
 
-    def test_rejects_zero_seeds(self, short_harness):
+    def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
-            run_seed_sweep(
-                short_harness, "vr_gaming",
-                build_accelerator("A", 4096), seeds=0,
-            )
+            seed_sweep(short_spec("vr_gaming"), seeds=0)
 
-    def test_accepts_unregistered_custom_system(self, short_harness):
-        # The facade exists for callers holding pre-built systems a
-        # spec cannot name; an unregistered acc_id must not fail spec
-        # validation inside the wrapper.
+    def test_prebuilt_system_overrides_spec_accelerator(self, cost_table):
+        # A caller holding a pre-built system a spec cannot name passes
+        # it directly; the spec's accelerator fields are carriers only.
         import dataclasses
 
         system = dataclasses.replace(
             build_accelerator("A", 4096), acc_id="custom_a"
         )
-        sweep = run_seed_sweep(
-            short_harness, "vr_gaming", system, seeds=2
+        sweep = seed_sweep(
+            short_spec("vr_gaming"), seeds=2, system=system,
+            costs=cost_table,
         )
         assert "custom_a" in sweep.system
 
-    def test_dynamic_scenarios_vary_more_than_static(self, short_harness):
+    def test_dynamic_scenarios_vary_more_than_static(self, cost_table):
         # Outdoor A's KD->SR trigger is probabilistic; Social B has only
         # jitter randomness.  The dynamic scenario's spread dominates.
-        system = build_accelerator("A", 8192)
-        dynamic = run_seed_sweep(
-            short_harness, "outdoor_activity_a", system, seeds=10
+        dynamic = seed_sweep(
+            short_spec("outdoor_activity_a", 8192), seeds=10,
+            costs=cost_table,
         )
-        static = run_seed_sweep(
-            short_harness, "social_interaction_b", system, seeds=10
+        static = seed_sweep(
+            short_spec("social_interaction_b", 8192), seeds=10,
+            costs=cost_table,
         )
         assert dynamic.get("overall").std >= static.get("overall").std - 1e-6
+
+
+class TestSharedCostCache:
+    def test_one_cached_table_for_all_seeds(self, monkeypatch):
+        built = []
+        init = CachedCostTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CachedCostTable, "__init__", counting_init)
+        seed_sweep(short_spec("ar_gaming"), seeds=5)
+        assert len(built) == 1
+
+    def test_default_table_matches_explicit_table(self):
+        spec = short_spec("ar_gaming")
+        default = seed_sweep(spec, seeds=3)
+        explicit = seed_sweep(spec, seeds=3, costs=CachedCostTable())
+        assert default == explicit

@@ -7,7 +7,11 @@ import pytest
 from repro.core import Harness, HarnessConfig
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
-from repro.runtime import RateMonotonicScheduler, Simulator, make_scheduler
+from repro.runtime import (
+    MultiScenarioSimulator,
+    RateMonotonicScheduler,
+    make_scheduler,
+)
 from repro.workload import InferenceRequest, LoadGenerator, get_scenario
 
 
@@ -48,14 +52,15 @@ class TestLoadGenFrameLoss:
 
 class TestSimulatorUnderFrameLoss:
     def run(self, loss: float, cost_table):
-        return Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=build_accelerator("A", 8192),
-            scheduler=make_scheduler("latency_greedy"),
+        return MultiScenarioSimulator.replicate(
+            get_scenario("vr_gaming"),
+            build_accelerator("A", 8192),
+            make_scheduler("latency_greedy"),
+            1,
+            frame_loss_probability=loss,
             duration_s=1.0,
             costs=cost_table,
-            frame_loss_probability=loss,
-        ).run()
+        ).run().sessions[0]
 
     def test_qoe_denominator_counts_lost_frames(self, cost_table):
         result = self.run(0.3, cost_table)

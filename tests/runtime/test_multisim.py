@@ -13,7 +13,6 @@ from repro.runtime import (
     LatencyGreedyScheduler,
     MultiScenarioSimulator,
     SessionSpec,
-    Simulator,
 )
 from repro.workload import get_scenario
 
@@ -69,6 +68,20 @@ class TestConstruction:
                 system=build_accelerator("J", 4096),
                 scheduler=LatencyGreedyScheduler(),
                 granularity="layer",
+            )
+
+    @pytest.mark.parametrize("scheduler", [
+        object(),
+        # A select-only policy: dispatch goes through pick alone.
+        type("SelectOnly", (), {"select": lambda self, *args: None})(),
+        type("StringPick", (), {"pick": "latency_greedy"})(),
+    ], ids=["bare", "select_only", "non_callable_pick"])
+    def test_rejects_scheduler_without_pick(self, scheduler):
+        with pytest.raises(TypeError, match=r"pick\(now_s, waiting"):
+            MultiScenarioSimulator(
+                sessions=[SessionSpec(0, get_scenario("vr_gaming"))],
+                system=build_accelerator("J", 4096),
+                scheduler=scheduler,
             )
 
 
@@ -183,26 +196,17 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         assert signature(multi(seed=0)) != signature(multi(seed=100))
 
-    def test_single_session_matches_legacy_simulator(self):
-        table = CostTable()
-        legacy = Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=build_accelerator("J", 8192),
-            scheduler=LatencyGreedyScheduler(),
-            costs=table,
-            seed=5,
-        ).run()
-        result = multi(sessions=1, seed=5)
-        [session] = result.sessions
-        legacy_sig = [
-            (r.model_code, r.model_frame, r.end_time_s, r.dropped)
-            for r in legacy.requests
-        ]
-        multi_sig = [
-            (r.model_code, r.model_frame, r.end_time_s, r.dropped)
-            for r in session.requests
-        ]
-        assert legacy_sig == multi_sig
+    def test_single_session_plain_table_matches_cached(self):
+        # A plain CostTable prices every dispatch through the analytical
+        # path; the default CachedCostTable must schedule identically.
+        def requests_of(costs):
+            [session] = multi(sessions=1, seed=5, costs=costs).sessions
+            return [
+                (r.model_code, r.model_frame, r.end_time_s, r.dropped)
+                for r in session.requests
+            ]
+
+        assert requests_of(CostTable()) == requests_of(CachedCostTable())
 
 
 class TestSegmentGranularity:
@@ -250,15 +254,9 @@ class TestSegmentGranularity:
                 request.end_time_s
             )
 
-    def test_simulator_facade_plumbs_split_count(self):
-        result = Simulator(
-            scenario=get_scenario("ar_gaming"),
-            system=build_accelerator("J", 8192),
-            scheduler=LatencyGreedyScheduler(),
-            costs=CachedCostTable(),
-            granularity="segment",
-            segments_per_model=3,
-        ).run()
+    def test_segments_per_model_sets_split_count(self):
+        result = multi(scenario="ar_gaming", sessions=1,
+                       granularity="segment", segments_per_model=3)
         assert max(r.num_segments for r in result.records) == 3
 
     def test_table_reuse_across_split_counts_stays_correct(self):

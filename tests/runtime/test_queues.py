@@ -1,17 +1,10 @@
-"""Tests for the pending/waiting queues, active table and dependency
-tracker."""
+"""Tests for the waiting queue and the dependency tracker."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime import (
-    ActiveInferenceTable,
-    DependencyTracker,
-    PendingQueue,
-    WaitingQueue,
-    WorkItem,
-)
+from repro.runtime import DependencyTracker, WaitingQueue, WorkItem
 from repro.workload import InferenceRequest, get_scenario
 
 
@@ -21,52 +14,6 @@ def req(code="HT", frame=0, t=0.0):
 
 def item(code="HT", frame=0, t=0.0, session=0):
     return WorkItem(request=req(code, frame, t), session_id=session)
-
-
-class TestPendingQueue:
-    def test_offer_and_waiting(self):
-        q = PendingQueue()
-        r = req()
-        assert q.offer(r) is None
-        assert q.waiting() == [r]
-
-    def test_stale_frame_dropped_on_new_arrival(self):
-        q = PendingQueue()
-        old, new = req(frame=0, t=0.0), req(frame=1, t=0.033)
-        q.offer(old)
-        displaced = q.offer(new)
-        assert displaced is old
-        assert old.dropped
-        assert q.waiting() == [new]
-        assert q.dropped == [old]
-
-    def test_different_models_coexist(self):
-        q = PendingQueue()
-        a, b = req("HT"), req("ES")
-        q.offer(a)
-        assert q.offer(b) is None
-        assert len(q) == 2
-
-    def test_waiting_sorted_by_request_time(self):
-        q = PendingQueue()
-        late, early = req("HT", t=0.5), req("ES", t=0.1)
-        q.offer(late)
-        q.offer(early)
-        assert q.waiting() == [early, late]
-
-    def test_take_removes(self):
-        q = PendingQueue()
-        r = req()
-        q.offer(r)
-        q.take(r)
-        assert len(q) == 0
-
-    def test_take_wrong_request_raises(self):
-        q = PendingQueue()
-        a, b = req(frame=0), req(frame=1)
-        q.offer(a)
-        with pytest.raises(ValueError, match="not waiting"):
-            q.take(b)
 
 
 class TestWaitingQueue:
@@ -139,32 +86,6 @@ class TestWaitingQueue:
             q.offer(work)
         q.take(b)
         assert list(q) == [a, c]
-
-
-class TestActiveInferenceTable:
-    def test_start_finish_roundtrip(self):
-        t = ActiveInferenceTable()
-        r = req()
-        t.start(0, r)
-        assert t.running() == {0: r}
-        assert t.finish(0) is r
-        assert len(t) == 0
-
-    def test_hardware_occupancy_condition(self):
-        # Appendix B.2: one engine cannot run two models simultaneously.
-        t = ActiveInferenceTable()
-        t.start(0, req("HT"))
-        with pytest.raises(ValueError, match="occupancy"):
-            t.start(0, req("ES"))
-
-    def test_finish_idle_engine_raises(self):
-        with pytest.raises(ValueError, match="idle"):
-            ActiveInferenceTable().finish(3)
-
-    def test_idle_engines(self):
-        t = ActiveInferenceTable()
-        t.start(1, req())
-        assert t.idle_engines(3) == [0, 2]
 
 
 class TestDependencyTracker:

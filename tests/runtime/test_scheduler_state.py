@@ -19,9 +19,7 @@ from repro.runtime import (
     MultiScenarioSimulator,
     RateMonotonicScheduler,
     RoundRobinScheduler,
-    SchedulerAdapter,
     SessionSpec,
-    Simulator,
     make_scheduler,
 )
 from repro.workload import InferenceRequest, get_scenario
@@ -80,26 +78,11 @@ class TestResetProtocol:
         scheduler._next_engine = 1
         assert schedule_of(run_once(scheduler, system)) == pristine
 
-    def test_single_tenant_facade_resets_too(self, system):
+    def test_single_session_run_resets_too(self, system):
         scheduler = RoundRobinScheduler(_next_engine=1)
-        result = Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=system,
-            scheduler=scheduler,
-            duration_s=DURATION_S,
-        ).run()
-        fresh = Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=system,
-            scheduler=RoundRobinScheduler(),
-            duration_s=DURATION_S,
-        ).run()
+        result = run_once(scheduler, system, sessions=1)
+        fresh = run_once(RoundRobinScheduler(), system, sessions=1)
         assert schedule_of(result) == schedule_of(fresh)
-
-    def test_adapter_forwards_reset(self):
-        scheduler = RoundRobinScheduler(_next_engine=3)
-        SchedulerAdapter(scheduler).reset()
-        assert scheduler._next_engine == 0
 
     def test_memoizing_rate_monotonic_is_run_order_independent(
         self, system

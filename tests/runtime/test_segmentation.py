@@ -9,8 +9,8 @@ from repro.costmodel import Dataflow
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
+    MultiScenarioSimulator,
     SegmentedCostTable,
-    Simulator,
     segment_scenario,
     split_graph,
 )
@@ -145,11 +145,10 @@ class TestSegmentedExecution:
             scenario, table = segment_scenario(
                 get_scenario("ar_gaming"), "PD", segments
             )
-        sim = Simulator(
-            scenario=scenario, system=build_accelerator("J", 4096),
-            scheduler=LatencyGreedyScheduler(), duration_s=1.0,
-            costs=table,
-        ).run()
+        sim = MultiScenarioSimulator.replicate(
+            scenario, build_accelerator("J", 4096),
+            LatencyGreedyScheduler(), 1, duration_s=1.0, costs=table,
+        ).run().sessions[0]
         return sim, score_simulation(sim)
 
     def test_runs_end_to_end(self):

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event simulator."""
+"""Tests for single-session runs of the discrete-event runtime."""
 
 from __future__ import annotations
 
@@ -6,20 +6,21 @@ import pytest
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
-from repro.runtime import LatencyGreedyScheduler, Simulator
+from repro.runtime import LatencyGreedyScheduler, MultiScenarioSimulator
 from repro.workload import get_scenario
 
 
 def simulate(scenario="vr_gaming", acc="A", pes=8192, duration=1.0, seed=0,
              costs=None):
-    return Simulator(
-        scenario=get_scenario(scenario),
-        system=build_accelerator(acc, pes),
-        scheduler=LatencyGreedyScheduler(),
+    return MultiScenarioSimulator.replicate(
+        get_scenario(scenario),
+        build_accelerator(acc, pes),
+        LatencyGreedyScheduler(),
+        1,
+        base_seed=seed,
         duration_s=duration,
-        seed=seed,
         costs=costs or CostTable(),
-    ).run()
+    ).run().sessions[0]
 
 
 @pytest.fixture(scope="module")

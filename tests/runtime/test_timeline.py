@@ -8,7 +8,7 @@ from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    Simulator,
+    MultiScenarioSimulator,
     extract_timeline,
     render_timeline,
 )
@@ -17,13 +17,14 @@ from repro.workload import get_scenario
 
 @pytest.fixture(scope="module")
 def result():
-    return Simulator(
-        scenario=get_scenario("ar_gaming"),
-        system=build_accelerator("J", 8192),
-        scheduler=LatencyGreedyScheduler(),
+    return MultiScenarioSimulator.replicate(
+        get_scenario("ar_gaming"),
+        build_accelerator("J", 8192),
+        LatencyGreedyScheduler(),
+        1,
         duration_s=1.0,
         costs=CostTable(),
-    ).run()
+    ).run().sessions[0]
 
 
 class TestExtract:

@@ -9,7 +9,6 @@ from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
 from repro.costmodel import CostModel, Dataflow
 from repro.nn import GraphBuilder, GraphExecutor
-from repro.runtime import PendingQueue
 from repro.workload import InferenceRequest
 
 
@@ -147,21 +146,25 @@ class TestRandomScenarioSimulation:
         from repro.core import score_simulation
         from repro.costmodel import CostTable
         from repro.hardware import build_accelerator
-        from repro.runtime import LatencyGreedyScheduler, Simulator
+        from repro.runtime import (
+            LatencyGreedyScheduler,
+            MultiScenarioSimulator,
+        )
         from repro.workload import get_scenario, scale_rates
 
         if not hasattr(TestRandomScenarioSimulation, "_table"):
             TestRandomScenarioSimulation._table = CostTable()
         scenario = scale_rates(get_scenario(base), rate_factor)
-        result = Simulator(
-            scenario=scenario,
-            system=build_accelerator(acc, pes),
-            scheduler=LatencyGreedyScheduler(),
-            duration_s=0.5,
-            seed=seed,
-            costs=TestRandomScenarioSimulation._table,
+        result = MultiScenarioSimulator.replicate(
+            scenario,
+            build_accelerator(acc, pes),
+            LatencyGreedyScheduler(),
+            1,
+            base_seed=seed,
             frame_loss_probability=loss,
-        ).run()
+            duration_s=0.5,
+            costs=TestRandomScenarioSimulation._table,
+        ).run().sessions[0]
 
         # Outcome exclusivity.
         for r in result.requests:
@@ -184,28 +187,3 @@ class TestRandomScenarioSimulation:
         score = score_simulation(result)
         assert 0.0 <= score.overall <= 1.0
         assert 0.0 <= score.qoe <= 1.0
-
-
-class TestPendingQueueProperties:
-    @given(
-        arrivals=st.lists(
-            st.tuples(st.sampled_from(["A", "B", "C"]),
-                      st.floats(0, 10)),
-            min_size=1, max_size=50,
-        )
-    )
-    def test_at_most_one_waiting_per_model(self, arrivals):
-        q = PendingQueue()
-        for i, (code, t) in enumerate(sorted(arrivals, key=lambda x: x[1])):
-            q.offer(InferenceRequest(code, i, t, t + 1))
-        waiting = q.waiting()
-        codes = [r.model_code for r in waiting]
-        assert len(codes) == len(set(codes))
-
-    @given(n=st.integers(1, 30))
-    def test_conservation(self, n):
-        # Every offered request is either waiting or dropped.
-        q = PendingQueue()
-        for i in range(n):
-            q.offer(InferenceRequest("A", i, float(i), float(i) + 1))
-        assert len(q.waiting()) + len(q.dropped) == n
