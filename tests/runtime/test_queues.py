@@ -50,6 +50,16 @@ class TestWaitingQueue:
         # The same model in a different session is untouched.
         assert list(q) == [other_session, new]
 
+    def test_different_models_coexist(self):
+        # Freshness is per (session, model): another model of the same
+        # session never displaces the waiting frame.
+        q = WaitingQueue()
+        a, b = item("HT", session=0), item("ES", session=0)
+        q.offer(a)
+        assert q.offer(b) is None
+        assert len(q) == 2
+        assert q.dropped == []
+
     def test_take_removes(self):
         q = WaitingQueue()
         a, b = item("HT", session=0), item("ES", session=0)

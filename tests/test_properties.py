@@ -9,6 +9,7 @@ from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
 from repro.costmodel import CostModel, Dataflow
 from repro.nn import GraphBuilder, GraphExecutor
+from repro.runtime import WaitingQueue, WorkItem
 from repro.workload import InferenceRequest
 
 
@@ -187,3 +188,35 @@ class TestRandomScenarioSimulation:
         score = score_simulation(result)
         assert 0.0 <= score.overall <= 1.0
         assert 0.0 <= score.qoe <= 1.0
+
+
+class TestWaitingQueueProperties:
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.sampled_from(["A", "B", "C"]),
+                      st.integers(0, 2),
+                      st.floats(0, 10)),
+            min_size=1, max_size=50,
+        )
+    )
+    def test_at_most_one_waiting_per_session_and_model(self, arrivals):
+        q = WaitingQueue()
+        ordered = sorted(arrivals, key=lambda x: x[2])
+        for i, (code, session, t) in enumerate(ordered):
+            q.offer(WorkItem(
+                request=InferenceRequest(code, i, t, t + 1),
+                session_id=session,
+            ))
+        keys = [(w.session_id, w.request.model_code) for w in q]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {(s, c) for c, s, _ in ordered}
+
+    @given(n=st.integers(1, 30), sessions=st.integers(1, 3))
+    def test_conservation(self, n, sessions):
+        # Every offered request is either waiting or dropped.
+        q = WaitingQueue()
+        for i in range(n):
+            request = InferenceRequest("A", i, float(i), float(i) + 1)
+            q.offer(WorkItem(request=request, session_id=i % sessions))
+        assert len(q) + len(q.dropped) == n
+        assert len(q) == min(n, sessions)
